@@ -14,6 +14,8 @@ namespace {
 
 // Identifies the pool (if any) whose worker_loop owns the current thread.
 thread_local const ThreadPool* tls_worker_pool = nullptr;
+// The current thread's index among tls_worker_pool's workers.
+thread_local std::size_t tls_worker_index = 0;
 
 obs::Gauge& queue_depth_gauge() {
   static obs::Gauge& gauge =
@@ -30,7 +32,7 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   AIC_LOG_DEBUG << "thread_pool: starting " << num_threads << " workers";
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
@@ -38,6 +40,10 @@ ThreadPool::~ThreadPool() { shutdown(); }
 
 bool ThreadPool::in_worker_thread() const noexcept {
   return tls_worker_pool == this;
+}
+
+std::size_t ThreadPool::worker_index() const noexcept {
+  return tls_worker_pool == this ? tls_worker_index : size();
 }
 
 void ThreadPool::post(std::function<void()> task) {
@@ -89,8 +95,9 @@ void ThreadPool::reset_stats() {
   tasks_inlined_.store(0, std::memory_order_relaxed);
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(std::size_t index) {
   tls_worker_pool = this;
+  tls_worker_index = index;
   for (;;) {
     std::function<void()> task;
     {

@@ -54,6 +54,14 @@ class ThreadPool {
   /// True when the calling thread is one of *this* pool's workers.
   bool in_worker_thread() const noexcept;
 
+  /// Index in [0, size()) of the calling thread among *this* pool's
+  /// workers, or size() on any other thread (including workers of other
+  /// pools). A worker runs one task at a time, so a fan-out can hand each
+  /// task the slot `worker_index()` of a caller-owned array of size()+1
+  /// entries — the last one for the caller's own inline run — without a
+  /// data race.
+  std::size_t worker_index() const noexcept;
+
   /// Enqueues a fire-and-forget task.
   void post(std::function<void()> task);
 
@@ -95,7 +103,7 @@ class ThreadPool {
   // racing in-flight submitters.
 
  private:
-  void worker_loop();
+  void worker_loop(std::size_t index);
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;

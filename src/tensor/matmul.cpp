@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "obs/trace.hpp"
 #include "runtime/aligned_buffer.hpp"
+#include "runtime/context.hpp"
 #include "runtime/parallel_for.hpp"
+#include "runtime/thread_pool.hpp"
 #include "tensor/gemm_kernels.hpp"
 
 namespace aic::tensor {
@@ -20,17 +23,49 @@ constexpr std::size_t kBandGrain = 16;
 
 std::atomic<std::uint64_t> g_scratch_reallocs{0};
 
-// Per-thread scratch for the sandwich mid product. Workers of the global
-// pool are long-lived, so after warm-up repeated calls of the same shapes
-// never allocate.
-float* thread_scratch(std::size_t count) {
-  thread_local runtime::AlignedBuffer<float> buffer;
-  if (buffer.size() < count) {
-    buffer = runtime::AlignedBuffer<float>(count);
-    g_scratch_reallocs.fetch_add(1, std::memory_order_relaxed);
+// Sandwich mid-product scratch, owned by the call that fans out rather
+// than by whichever pool worker happens to run a chunk. Before any chunk
+// is submitted, the calling thread sizes one buffer of pool.size() + 1
+// slabs — one per worker, the last for the caller's own inline run — and
+// each chunk takes slab pool.worker_index(). The first call of a shape
+// therefore sizes every slab a later call can touch, however
+// parallel_for_chunks spreads the chunks over the workers.
+class MidScratch {
+ public:
+  // Holding the pool pins the one parallel_for_chunks resolves on this
+  // thread (a process-pool swap is rejected while it is held), so the
+  // slab count and the workers that run the chunks are the same pool's.
+  explicit MidScratch(std::size_t count)
+      : pool_(runtime::current_pool()),
+        stride_((count + kLineFloats - 1) / kLineFloats * kLineFloats +
+                kGuardFloats) {
+    thread_local runtime::AlignedBuffer<float> buffer;
+    const std::size_t floats = (pool_->size() + 1) * stride_;
+    if (buffer.size() < floats) {
+      buffer = runtime::AlignedBuffer<float>(floats);
+      g_scratch_reallocs.fetch_add(1, std::memory_order_relaxed);
+    }
+    base_ = buffer.data();
   }
-  return buffer.data();
-}
+
+  // The slab of the thread running the current chunk.
+  float* slab() const noexcept {
+    return base_ + pool_->worker_index() * stride_;
+  }
+
+ private:
+  // Slabs start on their own cache line and are a page apart. Without the
+  // gap the hardware prefetcher, which streams ahead within a page, pulls
+  // the next worker's lines while a worker sweeps its slab: the banded
+  // transform then ran ~10% slower than with one buffer per thread (6
+  // planes of 1024², 2 workers, 4-vCPU AMD EPYC).
+  static constexpr std::size_t kLineFloats = 64 / sizeof(float);
+  static constexpr std::size_t kGuardFloats = 4096 / sizeof(float);
+
+  const std::shared_ptr<runtime::ThreadPool> pool_;
+  const std::size_t stride_;
+  float* base_ = nullptr;
+};
 
 void require_float32(const Tensor& t, const char* kernel, const char* what) {
   if (t.dtype() != DType::kFloat32) {
@@ -44,10 +79,9 @@ void require_float32(const Tensor& t, const char* kernel, const char* what) {
 // stages through the shared gemm (which degrades to inline execution on
 // pool workers — the caller owns the plane-level parallelism).
 void sandwich_plane_dense(const float* lhs, const float* plane,
-                          const float* rhs, float* out_plane, std::size_t h,
-                          std::size_t w, std::size_t out_h,
+                          const float* rhs, float* out_plane, float* mid,
+                          std::size_t h, std::size_t w, std::size_t out_h,
                           std::size_t out_w) {
-  float* mid = thread_scratch(h * out_w);
   {
     AIC_TRACE_SCOPE("sandwich.rhs_mm");
     gemm(Trans::kNo, Trans::kNo, h, out_w, w, plane, w, rhs, out_w, mid,
@@ -66,14 +100,16 @@ struct SandwichDims {
 
 void sandwich_dense(const float* lhs, const float* in, const float* rhs,
                     float* out, const SandwichDims& d) {
+  const MidScratch scratch(d.h * d.out_w);
   runtime::parallel_for_chunks(
       0, d.planes,
       [&](std::size_t lo, std::size_t hi) {
         AIC_TRACE_SCOPE("sandwich.dense_chunk");
+        float* mid = scratch.slab();
         for (std::size_t plane = lo; plane < hi; ++plane) {
           sandwich_plane_dense(lhs, in + plane * d.h * d.w, rhs,
-                               out + plane * d.out_h * d.out_w, d.h, d.w,
-                               d.out_h, d.out_w);
+                               out + plane * d.out_h * d.out_w, mid, d.h,
+                               d.w, d.out_h, d.out_w);
         }
       },
       {.grain = 1});
@@ -92,11 +128,12 @@ void sandwich_banded(const float* lhs, const float* in, const float* rhs,
                      std::size_t lb_c, std::size_t rb_r, std::size_t rb_c) {
   const std::size_t bands = d.h / lb_c;
   const std::size_t rhs_bands = d.w / rb_r;
+  const MidScratch scratch(lb_c * d.out_w);
   runtime::parallel_for_chunks(
       0, d.planes * bands,
       [&](std::size_t lo, std::size_t hi) {
         AIC_TRACE_SCOPE("sandwich.banded_chunk");
-        float* mid = thread_scratch(lb_c * d.out_w);
+        float* mid = scratch.slab();
         std::uint64_t mac_local = 0, axpy_local = 0;
         for (std::size_t item = lo; item < hi; ++item) {
           const std::size_t plane = item / bands;

@@ -59,8 +59,10 @@ struct SandwichOptions {
 /// [B, C, lhs.rows, rhs.cols].
 ///
 /// Zero-allocation batched kernel: parallelized once over (plane ×
-/// row-band) work items, with per-thread aligned scratch reused across
-/// calls — no per-plane tensors, no nested thread-pool submission.
+/// row-band) work items — no per-plane tensors, no nested thread-pool
+/// submission. The mid-product scratch is owned by the calling thread and
+/// reused across calls: one aligned slab per pool worker plus one for the
+/// caller, sized before any work item is submitted.
 /// Every element equals `matmul(lhs, matmul(plane, rhs))` exactly — both
 /// paths issue the same ascending-k fused-accumulation chains through the
 /// shared kernel layer, so no rounding drift (the only admissible
@@ -76,9 +78,10 @@ void sandwich_planes_into(const Tensor& lhs, const Tensor& in,
 void sandwich_planes(const Tensor& lhs, const Tensor& in, const Tensor& rhs,
                      Tensor& out);
 
-/// Number of times any thread's sandwich scratch buffer has been
-/// (re)allocated since process start. Constant across repeated calls of
-/// the same shapes — the steady state allocates nothing.
+/// Number of times any caller's sandwich scratch buffer has grown since
+/// process start. The first call of a shape sizes a slab for every worker
+/// of the pool, so the count stays constant across repeated calls of the
+/// same shapes from the same thread — the steady state allocates nothing.
 std::uint64_t sandwich_scratch_reallocs() noexcept;
 
 /// Floating-point-operation count of `matmul(a, b)` (2·m·n·k).

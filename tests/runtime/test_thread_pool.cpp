@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "runtime/context.hpp"
@@ -100,6 +103,40 @@ TEST(ThreadPool, WorkerOfOtherPoolIsNotDetected) {
   ThreadPool b(1);
   auto from_b = b.submit([&a] { return a.in_worker_thread(); });
   EXPECT_FALSE(from_b.get());
+}
+
+TEST(ThreadPool, WorkerIndexIsDistinctPerWorker) {
+  constexpr std::size_t kWorkers = 4;
+  ThreadPool pool(kWorkers);
+  // Each task waits until all kWorkers are running at once, which forces
+  // them onto kWorkers distinct workers (a worker runs one task at a time).
+  std::atomic<std::size_t> arrived{0};
+  std::vector<std::future<std::size_t>> indices;
+  for (std::size_t i = 0; i < kWorkers; ++i) {
+    indices.push_back(pool.submit([&pool, &arrived] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kWorkers) std::this_thread::yield();
+      return pool.worker_index();
+    }));
+  }
+  std::set<std::size_t> seen;
+  for (auto& index : indices) {
+    const std::size_t got = index.get();
+    EXPECT_LT(got, kWorkers);
+    seen.insert(got);
+  }
+  EXPECT_EQ(seen.size(), kWorkers);
+}
+
+TEST(ThreadPool, WorkerIndexIsSizeOffThePool) {
+  ThreadPool a(3);
+  ThreadPool b(2);
+  EXPECT_EQ(a.worker_index(), a.size());
+  std::size_t from_thread = 0;
+  std::thread([&a, &from_thread] { from_thread = a.worker_index(); }).join();
+  EXPECT_EQ(from_thread, a.size());
+  auto from_b = b.submit([&a] { return a.worker_index(); });
+  EXPECT_EQ(from_b.get(), a.size());
 }
 
 TEST(ThreadPool, ReentrantSubmitRunsInlineOnSizeOnePool) {
