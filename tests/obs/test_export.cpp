@@ -356,7 +356,7 @@ TEST(FlightRecorder, FatalSignalDumpsFromChild) {
 #endif  // !_WIN32
 
 // ---------------------------------------------------------------------------
-// Histogram reset/snapshot coherence (the seqlock satellite)
+// Histogram reset/snapshot coherence
 
 // Writer loops {reset; record 5 a hundred times} while readers snapshot.
 // The documented guarantee: a snapshot observes one reset epoch, so
