@@ -23,6 +23,7 @@
 #include "data/synth.hpp"
 #include "runtime/cpu_features.hpp"
 #include "runtime/rng.hpp"
+#include "tensor/chop_kernel.hpp"
 #include "tensor/matmul.hpp"
 
 namespace {
@@ -166,8 +167,8 @@ BENCHMARK_CAPTURE(gemm_bench, avx2_tn, KernelBackend::kAvx2, Trans::kYes,
                   Trans::kNo)
     ->Args({256, 128, 784});
 
-// Full codec round trip (compress + decompress) per backend: how much of
-// the microkernel win survives end-to-end through the banded sandwich.
+// Full codec round trip (compress + decompress) per backend, through the
+// codec layer (plan lookup, stats) into the block chop kernel.
 void sandwich_roundtrip_bench(benchmark::State& state, KernelBackend backend) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t cf = static_cast<std::size_t>(state.range(1));
@@ -187,6 +188,34 @@ void sandwich_roundtrip_bench(benchmark::State& state, KernelBackend backend) {
 BENCHMARK_CAPTURE(sandwich_roundtrip_bench, scalar, KernelBackend::kScalar)
     ->Args({256, 4});
 BENCHMARK_CAPTURE(sandwich_roundtrip_bench, avx2, KernelBackend::kAvx2)
+    ->Args({256, 4});
+
+// The block chop kernel alone, forward + inverse on the same batch: the
+// DCT-II D (make_lhs of one block is D itself) over preshaped outputs.
+// The gap to sandwich_roundtrip_bench is the codec layer's own cost.
+void chop_kernel_roundtrip(benchmark::State& state, KernelBackend backend) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t cf = static_cast<std::size_t>(state.range(1));
+  BackendScope scope(state, backend);
+  if (!scope) return;
+  const Tensor d = core::make_lhs(8, cf);
+  const Tensor batch = make_batch(4, 3, n);
+  Tensor packed(Shape::bchw(4, 3, cf * n / 8, cf * n / 8));
+  Tensor restored(batch.shape());
+  for (auto _ : state) {
+    tensor::chop_forward_into(d, batch, packed);
+    tensor::chop_inverse_into(d, packed, restored);
+    benchmark::DoNotOptimize(restored.raw());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch.size_bytes()));
+  state.counters["scratch_reallocs"] =
+      static_cast<double>(tensor::sandwich_scratch_reallocs());
+}
+BENCHMARK_CAPTURE(chop_kernel_roundtrip, scalar, KernelBackend::kScalar)
+    ->Args({256, 4});
+BENCHMARK_CAPTURE(chop_kernel_roundtrip, avx2, KernelBackend::kAvx2)
     ->Args({256, 4});
 
 void BM_DctChopCompress(benchmark::State& state) {
@@ -225,9 +254,9 @@ void BM_DctChopDecompress(benchmark::State& state) {
 BENCHMARK(BM_DctChopDecompress)->Args({32, 2})->Args({64, 4})->Args({128, 4});
 
 // The acceptance workload of this repo's hot path: compress + decompress a
-// 16×3×1024×1024 batch at CF=4 through the structurally-sparse batched
-// kernel. `scratch_reallocs` stays flat across iterations — the steady
-// state performs zero per-plane heap allocations inside the sandwich.
+// 16×3×1024×1024 batch at CF=4 through the block chop kernel.
+// `scratch_reallocs` stays flat across iterations — the steady state
+// performs zero per-plane heap allocations inside the kernel.
 void BM_DctChopRoundTripLargeBatch(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t cf = static_cast<std::size_t>(state.range(1));
@@ -247,10 +276,9 @@ BENCHMARK(BM_DctChopRoundTripLargeBatch)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 
-// Same sandwich, structure hint withheld: the generic dense-plane path
-// (what every compress ran before the structural fast path existed, minus
-// its per-plane allocations). The ratio to BM_DctChopCompress is the win
-// from exploiting the chop sparsity structurally.
+// The dense reference sandwich of Eq. 4 on the full operators (the
+// product the paper issues, minus per-plane allocations). The ratio to
+// BM_DctChopCompress is the win from running the block operator D alone.
 void BM_SandwichDenseReference(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t cf = static_cast<std::size_t>(state.range(1));
@@ -259,7 +287,7 @@ void BM_SandwichDenseReference(benchmark::State& state) {
   const Tensor batch = make_batch(4, 3, n);
   Tensor packed(Shape::bchw(4, 3, cf * n / 8, cf * n / 8));
   for (auto _ : state) {
-    tensor::sandwich_planes_into(lhs, batch, rhs, packed, {});
+    tensor::sandwich_planes_into(lhs, batch, rhs, packed);
     benchmark::DoNotOptimize(packed.raw());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -781,7 +781,7 @@ void compress_to_archive_bytes(const Tensor& input,
     scratch->release(std::move(packed_group));
   } else {
     // Single plane (or a non-separable codec): the transform itself is
-    // already parallel via sandwich_banded, and the chunk encode fans
+    // already parallel over block-row strips, and the chunk encode fans
     // out right after — the two stages just don't interleave.
     runtime::Timer timer;
     Tensor packed = scratch->acquire(packed_shape);

@@ -197,9 +197,8 @@ void print_stats(std::ostream& out, const core::Codec& codec,
       << "]: gemm_calls=" << kc.gemm_calls << " a_panels=" << kc.a_panels_packed
       << " b_panels=" << kc.b_panels_packed
       << " microkernel_calls=" << kc.microkernel_calls
-      << " tail_tiles=" << kc.tail_tiles << " axpy_calls=" << kc.axpy_calls
-      << " block_mac_calls=" << kc.block_mac_calls
-      << " gemm_flops=" << kc.flops << "\n";
+      << " tail_tiles=" << kc.tail_tiles << " gemm_flops=" << kc.flops
+      << "\n";
   // Chunked-archive pipeline counters (see obs/pipeline.hpp); only shown
   // once a v4 archive moved through this process.
   const obs::Registry& reg = obs::Registry::global();

@@ -7,10 +7,10 @@
 #include "core/chop.hpp"
 #include "core/plan_cache.hpp"
 #include "core/zigzag.hpp"
+#include "tensor/chop_kernel.hpp"
 
 namespace aic::core {
 
-using tensor::BandedSpec;
 using tensor::Shape;
 using tensor::Tensor;
 
@@ -138,22 +138,31 @@ DctChopPlan::DctChopPlan(const PlanKey& key) : CodecPlan(key) {
   op_h_ = build_operand(key.height);
   op_w_ = (key.width == key.height) ? op_h_ : build_operand(key.width);
 
-  // Chop operators are block-banded by construction (Fig. 4): LHS keeps
-  // CF rows per block-column block, RHS = LHSᵀ. Verify once at "compile
-  // time" and hand the structure to the sandwich kernel; an operator
-  // that ever stops matching simply runs on the dense path.
-  const BandedSpec lhs_spec{key.cf, key.block};  // (CF·n/b)×n operators
-  const BandedSpec rhs_spec{key.block, key.cf};  // n×(CF·n/b) operators
-  const bool h_banded = tensor::is_block_banded(*op_h_.lhs, lhs_spec) &&
-                        tensor::is_block_banded(*op_h_.rhs, rhs_spec);
-  const bool w_banded =
-      shares_square_operands()
-          ? h_banded
-          : tensor::is_block_banded(*op_w_.lhs, lhs_spec) &&
-                tensor::is_block_banded(*op_w_.rhs, rhs_spec);
-  if (h_banded && w_banded) {
-    compress_bands_ = {.lhs_bands = lhs_spec, .rhs_bands = rhs_spec};
-    decompress_bands_ = {.lhs_bands = rhs_spec, .rhs_bands = lhs_spec};
+  // Chop operators are block-diagonal by construction (Fig. 4): LHS =
+  // blockdiag(D) with D the cf × block chop of the block transform, and
+  // RHS = LHSᵀ. The executors run D alone, so verify once at "compile
+  // time" that both axes' operators are exactly that; there is no other
+  // executor to fall back to.
+  const std::size_t cf = key.cf, block = key.block;
+  d_ = Tensor(Shape::matrix(cf, block));
+  for (std::size_t c = 0; c < cf; ++c) {
+    for (std::size_t p = 0; p < block; ++p) d_.at(c, p) = op_h_.lhs->at(c, p);
+  }
+  for (const Tensor* lhs : {op_h_.lhs.get(), op_w_.lhs.get()}) {
+    const std::size_t cols = lhs->shape()[1];
+    for (std::size_t r = 0; r < lhs->shape()[0]; ++r) {
+      for (std::size_t col = 0; col < cols; ++col) {
+        const bool live = r / cf == col / block;
+        const float want = live ? d_.at(r % cf, col % block) : 0.0f;
+        if (lhs->at(r, col) != want) {
+          throw std::logic_error("DctChopPlan: operator for " +
+                                 key.to_string() +
+                                 " is not blockdiag(D) at (" +
+                                 std::to_string(r) + ", " +
+                                 std::to_string(col) + ")");
+        }
+      }
+    }
   }
 }
 
@@ -171,14 +180,14 @@ Shape DctChopPlan::packed_shape(const Shape& input) const {
 }
 
 void DctChopPlan::compress_into(const Tensor& input, Tensor& out) const {
-  tensor::sandwich_planes_into(*op_h_.lhs, input, *op_w_.rhs, out,
-                               compress_bands_);
+  (void)packed_shape(input.shape());  // the plan's resolution only
+  tensor::chop_forward_into(d_, input, out);
 }
 
 void DctChopPlan::decompress_into(const Tensor& packed, Tensor& out) const {
-  // Eq. 6: A' = RHS · Y · LHS — the same operators with roles swapped.
-  tensor::sandwich_planes_into(*op_h_.rhs, packed, *op_w_.lhs, out,
-                               decompress_bands_);
+  // Eq. 6: A' = RHS · Y · LHS — the same operator D with roles swapped.
+  (void)packed_shape(out.shape());
+  tensor::chop_inverse_into(d_, packed, out);
 }
 
 std::size_t DctChopPlan::resident_bytes() const {
@@ -191,17 +200,11 @@ std::size_t DctChopPlan::resident_bytes() const {
 
 std::size_t DctChopPlan::workspace_bytes(std::size_t /*batch*/,
                                          std::size_t /*channels*/) const {
-  // The sandwich kernel's per-worker mid-product strip: lb_c×out_w floats
-  // on the banded path, full h×out_w on the dense fallback. Scratch is
-  // per worker thread and does not scale with batch or channels.
+  // The chop kernel's per-worker mid-product tile, the same size in both
+  // directions. Scratch is per worker thread and does not scale with
+  // batch or channels.
   const PlanKey& k = key();
-  const std::size_t ch = k.cf * k.height / k.block;
-  const std::size_t cw = k.cf * k.width / k.block;
-  const bool banded = compress_bands_.lhs_bands.valid();
-  const std::size_t compress_floats =
-      (banded ? k.block : k.height) * cw;
-  const std::size_t decompress_floats = (banded ? k.cf : ch) * k.width;
-  return std::max(compress_floats, decompress_floats) * sizeof(float);
+  return tensor::chop_scratch_bytes(k.cf, k.block, k.width);
 }
 
 // ---------------------------------------------------------------------------

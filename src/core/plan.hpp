@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/transforms.hpp"
-#include "tensor/matmul.hpp"
 #include "tensor/shape.hpp"
 #include "tensor/tensor.hpp"
 
@@ -51,8 +50,8 @@ struct PlanKeyHash {
   std::size_t operator()(const PlanKey& key) const noexcept;
 };
 
-/// An immutable compiled artifact: operands, index tables, banded specs
-/// and an exact byte plan for one (codec kind, shape) pair. Plans are
+/// An immutable compiled artifact: operands, index tables, the block
+/// operator D and an exact byte plan for one (codec kind, shape) pair. Plans are
 /// built once, shared via shared_ptr through the PlanCache, and executed
 /// by stateless `*_into` methods — executing a plan never mutates it and
 /// never constructs an operand.
@@ -88,8 +87,10 @@ struct ChopOperand {
   std::shared_ptr<const tensor::Tensor> rhs;  // n × (CF·n/block), = lhsᵀ
 };
 
-/// Compiled plan for the paper's two-matmul codec (§3.2–3.4): operands
-/// for both axes, verified band structure, and the sandwich executors.
+/// Compiled plan for the paper's two-matmul codec (§3.2–3.4): the dense
+/// operands for both axes (Eq. 4/6 as written; the graph builders and the
+/// accelerator simulators consume them) and the block operator D they are
+/// built from, which the CPU executors run through the block chop kernel.
 class DctChopPlan final : public CodecPlan {
  public:
   explicit DctChopPlan(const PlanKey& key);
@@ -99,12 +100,6 @@ class DctChopPlan final : public CodecPlan {
   const tensor::Tensor& rhs_w() const { return *op_w_.rhs; }
   const tensor::Tensor& rhs_h() const { return *op_h_.rhs; }
   const tensor::Tensor& lhs_w() const { return *op_w_.lhs; }
-  const tensor::SandwichOptions& compress_bands() const {
-    return compress_bands_;
-  }
-  const tensor::SandwichOptions& decompress_bands() const {
-    return decompress_bands_;
-  }
   /// True when H == W and both axes share one operand pair's storage.
   bool shares_square_operands() const {
     return op_h_.lhs.get() == op_w_.lhs.get();
@@ -112,9 +107,10 @@ class DctChopPlan final : public CodecPlan {
 
   tensor::Shape packed_shape(const tensor::Shape& input) const;
 
-  /// Eq. 4: out[b,c] = LHS_H · in[b,c] · RHS_W. `out` must be preshaped.
+  /// Eq. 4: out[b,c] = LHS_H · in[b,c] · RHS_W, i.e. D·A_blk·Dᵀ for every
+  /// block. `out` must be preshaped.
   void compress_into(const tensor::Tensor& input, tensor::Tensor& out) const;
-  /// Eq. 6: out[b,c] = RHS_H · packed[b,c] · LHS_W.
+  /// Eq. 6: out[b,c] = RHS_H · packed[b,c] · LHS_W, i.e. Dᵀ·Y_blk·D.
   void decompress_into(const tensor::Tensor& packed,
                        tensor::Tensor& out) const;
 
@@ -125,8 +121,7 @@ class DctChopPlan final : public CodecPlan {
  private:
   ChopOperand op_h_;  // operands for the height axis
   ChopOperand op_w_;  // aliases op_h_ when the plan is square
-  tensor::SandwichOptions compress_bands_;
-  tensor::SandwichOptions decompress_bands_;
+  tensor::Tensor d_;  // cf × block, the first block of LHS
 };
 
 /// Compiled plan for partial serialization (§3.5.1): geometry of the s×s

@@ -4,21 +4,13 @@
 #include <atomic>
 #include <cstring>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define AIC_GEMM_X86 1
-#else
-#define AIC_GEMM_X86 0
-#endif
-
 #include "obs/trace.hpp"
 #include "runtime/aligned_buffer.hpp"
 #include "runtime/parallel_for.hpp"
+#include "tensor/kernel_detail.hpp"
 
 namespace aic::tensor {
 namespace {
-
-using runtime::KernelBackend;
 
 constexpr std::size_t kMr = kGemmMr;
 constexpr std::size_t kNr = kGemmNr;
@@ -31,8 +23,6 @@ struct AtomicCounters {
   std::atomic<std::uint64_t> b_panels_packed{0};
   std::atomic<std::uint64_t> microkernel_calls{0};
   std::atomic<std::uint64_t> tail_tiles{0};
-  std::atomic<std::uint64_t> axpy_calls{0};
-  std::atomic<std::uint64_t> block_mac_calls{0};
   std::atomic<std::uint64_t> flops{0};
 };
 AtomicCounters g_counters;
@@ -144,42 +134,14 @@ void micro_tile_scalar(std::size_t k, const float* ap, const float* bp,
   }
 }
 
-void axpy_scalar(float alpha, const float* src, float* dst, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) dst[j] += alpha * src[j];
-}
-
-void block_mac_scalar(std::size_t m, std::size_t n, std::size_t k,
-                      const float* a, std::size_t lda, const float* b,
-                      std::size_t ldb, float* c, std::size_t ldc) {
-  for (std::size_t i = 0; i < m; ++i) {
-    float* crow = c + i * ldc;
-    const float* arow = a + i * lda;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float av = arow[p];
-      const float* brow = b + p * ldb;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // AVX2+FMA backend. Compiled with target attributes so the TU itself
 // builds with baseline flags; only executed after the cpuid probe says
 // the host supports it. Every output element is an ascending-k chain of
-// vector FMAs, so axpy_row / block_mac / the microkernel agree bitwise.
+// vector FMAs, whatever the tile shape or tail masking.
 // ---------------------------------------------------------------------------
 
-#if AIC_GEMM_X86
-
-// -1 lane mask prefix: tail_mask(l) enables the first l of 8 lanes.
-alignas(32) const std::int32_t kMaskSrc[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
-                                               0,  0,  0,  0,  0,  0,  0,  0};
-
-__attribute__((target("avx2,fma"))) inline __m256i tail_mask(
-    std::size_t lanes) {
-  return _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(kMaskSrc + 8 - lanes));
-}
+#if AIC_TENSOR_X86
 
 __attribute__((target("avx2,fma"))) void micro_tile_avx2(
     std::size_t k, const float* ap, const float* bp, float* c,
@@ -227,7 +189,7 @@ __attribute__((target("avx2,fma"))) void micro_tile_avx2(
       if (accumulate) v = _mm256_add_ps(_mm256_loadu_ps(crow), v);
       _mm256_storeu_ps(crow, v);
     } else {
-      const __m256i mask = tail_mask(lanes0);
+      const __m256i mask = detail::tail_mask(lanes0);
       __m256 v = acc[r][0];
       if (accumulate) v = _mm256_add_ps(_mm256_maskload_ps(crow, mask), v);
       _mm256_maskstore_ps(crow, mask, v);
@@ -237,7 +199,7 @@ __attribute__((target("avx2,fma"))) void micro_tile_avx2(
       if (accumulate) v = _mm256_add_ps(_mm256_loadu_ps(crow + 8), v);
       _mm256_storeu_ps(crow + 8, v);
     } else if (lanes1 > 0) {
-      const __m256i mask = tail_mask(lanes1);
+      const __m256i mask = detail::tail_mask(lanes1);
       __m256 v = acc[r][1];
       if (accumulate) v = _mm256_add_ps(_mm256_maskload_ps(crow + 8, mask), v);
       _mm256_maskstore_ps(crow + 8, mask, v);
@@ -245,68 +207,12 @@ __attribute__((target("avx2,fma"))) void micro_tile_avx2(
   }
 }
 
-__attribute__((target("avx2,fma"))) void axpy_avx2(float alpha,
-                                                   const float* src,
-                                                   float* dst,
-                                                   std::size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(dst + j,
-                     _mm256_fmadd_ps(va, _mm256_loadu_ps(src + j),
-                                     _mm256_loadu_ps(dst + j)));
-  }
-  if (j < n) {
-    const __m256i mask = tail_mask(n - j);
-    const __m256 s = _mm256_maskload_ps(src + j, mask);
-    const __m256 d = _mm256_maskload_ps(dst + j, mask);
-    _mm256_maskstore_ps(dst + j, mask, _mm256_fmadd_ps(va, s, d));
-  }
-}
-
-// One strip of ≤16 columns of the small-block MAC: C row segment stays in
-// two (masked) vectors across the whole k loop.
-__attribute__((target("avx2,fma"))) void block_mac_avx2_strip(
-    std::size_t m, std::size_t n, std::size_t k, const float* a,
-    std::size_t lda, const float* b, std::size_t ldb, float* c,
-    std::size_t ldc) {
-  const std::size_t lanes0 = std::min<std::size_t>(n, 8);
-  const std::size_t lanes1 = n > 8 ? n - 8 : 0;
-  const __m256i mask0 = tail_mask(lanes0);
-  const __m256i mask1 = tail_mask(lanes1);
-  for (std::size_t i = 0; i < m; ++i) {
-    float* crow = c + i * ldc;
-    const float* arow = a + i * lda;
-    __m256 c0 = _mm256_maskload_ps(crow, mask0);
-    __m256 c1 = lanes1 ? _mm256_maskload_ps(crow + 8, mask1)
-                       : _mm256_setzero_ps();
-    for (std::size_t p = 0; p < k; ++p) {
-      const __m256 av = _mm256_broadcast_ss(arow + p);
-      const float* brow = b + p * ldb;
-      c0 = _mm256_fmadd_ps(av, _mm256_maskload_ps(brow, mask0), c0);
-      if (lanes1) {
-        c1 = _mm256_fmadd_ps(av, _mm256_maskload_ps(brow + 8, mask1), c1);
-      }
-    }
-    _mm256_maskstore_ps(crow, mask0, c0);
-    if (lanes1) _mm256_maskstore_ps(crow + 8, mask1, c1);
-  }
-}
-
-#endif  // AIC_GEMM_X86
-
-bool avx2_active() noexcept {
-#if AIC_GEMM_X86
-  return runtime::kernel_backend() == KernelBackend::kAvx2;
-#else
-  return false;
-#endif
-}
+#endif  // AIC_TENSOR_X86
 
 void micro_tile(bool avx2, std::size_t k, const float* ap, const float* bp,
                 float* c, std::size_t ldc, std::size_t mr, std::size_t nr,
                 bool accumulate) {
-#if AIC_GEMM_X86
+#if AIC_TENSOR_X86
   if (avx2) {
     micro_tile_avx2(k, ap, bp, c, ldc, mr, nr, accumulate);
     return;
@@ -329,9 +235,6 @@ GemmCounters gemm_counters() noexcept {
   out.microkernel_calls =
       g_counters.microkernel_calls.load(std::memory_order_relaxed);
   out.tail_tiles = g_counters.tail_tiles.load(std::memory_order_relaxed);
-  out.axpy_calls = g_counters.axpy_calls.load(std::memory_order_relaxed);
-  out.block_mac_calls =
-      g_counters.block_mac_calls.load(std::memory_order_relaxed);
   out.flops = g_counters.flops.load(std::memory_order_relaxed);
   return out;
 }
@@ -342,43 +245,7 @@ void reset_gemm_counters() noexcept {
   g_counters.b_panels_packed.store(0, std::memory_order_relaxed);
   g_counters.microkernel_calls.store(0, std::memory_order_relaxed);
   g_counters.tail_tiles.store(0, std::memory_order_relaxed);
-  g_counters.axpy_calls.store(0, std::memory_order_relaxed);
-  g_counters.block_mac_calls.store(0, std::memory_order_relaxed);
   g_counters.flops.store(0, std::memory_order_relaxed);
-}
-
-void add_gemm_counters(const GemmCounters& delta) noexcept {
-  if (delta.gemm_calls) {
-    g_counters.gemm_calls.fetch_add(delta.gemm_calls,
-                                    std::memory_order_relaxed);
-  }
-  if (delta.a_panels_packed) {
-    g_counters.a_panels_packed.fetch_add(delta.a_panels_packed,
-                                         std::memory_order_relaxed);
-  }
-  if (delta.b_panels_packed) {
-    g_counters.b_panels_packed.fetch_add(delta.b_panels_packed,
-                                         std::memory_order_relaxed);
-  }
-  if (delta.microkernel_calls) {
-    g_counters.microkernel_calls.fetch_add(delta.microkernel_calls,
-                                           std::memory_order_relaxed);
-  }
-  if (delta.tail_tiles) {
-    g_counters.tail_tiles.fetch_add(delta.tail_tiles,
-                                    std::memory_order_relaxed);
-  }
-  if (delta.axpy_calls) {
-    g_counters.axpy_calls.fetch_add(delta.axpy_calls,
-                                    std::memory_order_relaxed);
-  }
-  if (delta.block_mac_calls) {
-    g_counters.block_mac_calls.fetch_add(delta.block_mac_calls,
-                                         std::memory_order_relaxed);
-  }
-  if (delta.flops) {
-    g_counters.flops.fetch_add(delta.flops, std::memory_order_relaxed);
-  }
 }
 
 void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
@@ -391,7 +258,7 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
     }
     return;
   }
-  const bool avx2 = avx2_active();
+  const bool avx2 = detail::avx2_active();
   AIC_TRACE_SCOPE(avx2 ? "gemm.avx2" : "gemm.scalar");
 
   // B is packed once on the calling thread; workers only read it (the
@@ -400,9 +267,6 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
   float* packed_b = pack_scratch_b(n_panels * kNr * k);
   pack_b(trans_b, b, ldb, n, k, packed_b);
 
-  std::atomic<std::uint64_t> micro_total{0};
-  std::atomic<std::uint64_t> tail_total{0};
-  std::atomic<std::uint64_t> a_panel_total{0};
   runtime::parallel_for_chunks(
       0, m,
       [&](std::size_t lo, std::size_t hi) {
@@ -427,46 +291,17 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
             }
           }
         }
-        micro_total.fetch_add(micro_local, std::memory_order_relaxed);
-        tail_total.fetch_add(tail_local, std::memory_order_relaxed);
-        a_panel_total.fetch_add(a_local, std::memory_order_relaxed);
+        g_counters.microkernel_calls.fetch_add(micro_local,
+                                               std::memory_order_relaxed);
+        g_counters.tail_tiles.fetch_add(tail_local, std::memory_order_relaxed);
+        g_counters.a_panels_packed.fetch_add(a_local,
+                                             std::memory_order_relaxed);
       },
       {.grain = kMc});
-
-  GemmCounters delta;
-  delta.gemm_calls = 1;
-  delta.a_panels_packed = a_panel_total.load(std::memory_order_relaxed);
-  delta.b_panels_packed = n_panels;
-  delta.microkernel_calls = micro_total.load(std::memory_order_relaxed);
-  delta.tail_tiles = tail_total.load(std::memory_order_relaxed);
-  delta.flops = static_cast<std::uint64_t>(2) * m * n * k;
-  add_gemm_counters(delta);
-}
-
-void axpy_row(float alpha, const float* src, float* dst,
-              std::size_t n) noexcept {
-#if AIC_GEMM_X86
-  if (avx2_active()) {
-    axpy_avx2(alpha, src, dst, n);
-    return;
-  }
-#endif
-  axpy_scalar(alpha, src, dst, n);
-}
-
-void block_mac(std::size_t m, std::size_t n, std::size_t k, const float* a,
-               std::size_t lda, const float* b, std::size_t ldb, float* c,
-               std::size_t ldc) noexcept {
-#if AIC_GEMM_X86
-  if (avx2_active()) {
-    for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
-      const std::size_t width = std::min(kNr, n - j0);
-      block_mac_avx2_strip(m, width, k, a, lda, b + j0, ldb, c + j0, ldc);
-    }
-    return;
-  }
-#endif
-  block_mac_scalar(m, n, k, a, lda, b, ldb, c, ldc);
+  g_counters.gemm_calls.fetch_add(1, std::memory_order_relaxed);
+  g_counters.b_panels_packed.fetch_add(n_panels, std::memory_order_relaxed);
+  g_counters.flops.fetch_add(static_cast<std::uint64_t>(2) * m * n * k,
+                             std::memory_order_relaxed);
 }
 
 }  // namespace aic::tensor

@@ -12,9 +12,9 @@ namespace aic::tensor {
 /// read it transposed — callers never materialize a transposed copy.
 enum class Trans : std::uint8_t { kNo, kYes };
 
-/// Cumulative process-wide counters of the kernel layer. Updated with
-/// relaxed atomics, aggregated once per gemm call / sandwich chunk (never
-/// per tile), so they are always-on like core::CodecStats.
+/// Cumulative process-wide counters of the gemm layer. Updated with
+/// relaxed atomics, aggregated once per gemm call (never per tile), so
+/// they are always-on like core::CodecStats.
 struct GemmCounters {
   std::uint64_t gemm_calls = 0;
   /// MR-row A panels packed into per-thread scratch.
@@ -24,21 +24,12 @@ struct GemmCounters {
   std::uint64_t microkernel_calls = 0;
   /// Microkernel invocations on partial tiles (mr < MR or nr < NR).
   std::uint64_t tail_tiles = 0;
-  /// Wide fused-multiply-add row updates (banded sandwich stage 2).
-  std::uint64_t axpy_calls = 0;
-  /// Small dense block MACs (banded sandwich stage 1).
-  std::uint64_t block_mac_calls = 0;
-  /// 2·m·n·k FLOPs issued through gemm (excludes axpy/block_mac work).
+  /// 2·m·n·k FLOPs issued through gemm.
   std::uint64_t flops = 0;
 };
 
 GemmCounters gemm_counters() noexcept;
 void reset_gemm_counters() noexcept;
-
-/// Adds `delta` to the process-wide counters. Used by callers that drive
-/// the primitive kernels (axpy_row / block_mac) directly and aggregate
-/// their own call counts per parallel chunk.
-void add_gemm_counters(const GemmCounters& delta) noexcept;
 
 /// Microkernel geometry (exposed for tests and blocking documentation):
 /// a kGemmMr × kGemmNr register accumulator tile — 6 rows × two 8-float
@@ -56,23 +47,10 @@ inline constexpr std::size_t kGemmMc = 120;
 /// Parallel over row blocks via the global pool (degrades to inline when
 /// invoked from a pool worker). Each output element is one ascending-k
 /// accumulation chain regardless of shape, blocking, or thread count, so
-/// results are deterministic and bit-identical to the axpy_row /
-/// block_mac primitives on the same backend.
+/// results are deterministic and bit-identical to any other ascending
+/// chain on the same backend (the block chop kernel relies on this).
 void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
           std::size_t k, const float* a, std::size_t lda, const float* b,
           std::size_t ldb, float* c, std::size_t ldc, bool accumulate);
-
-/// dst[0..n) += alpha · src[0..n), dispatched to the active backend with
-/// the same per-element FMA semantics as the gemm microkernel.
-void axpy_row(float alpha, const float* src, float* dst,
-              std::size_t n) noexcept;
-
-/// C += A·B for a small dense block (m×k · k×n, arbitrary leading
-/// dimensions, no packing). Tuned for the banded-sandwich inner blocks
-/// where n is a handful of columns; accumulation order per element is
-/// ascending k, matching gemm on the same backend bit-for-bit.
-void block_mac(std::size_t m, std::size_t n, std::size_t k, const float* a,
-               std::size_t lda, const float* b, std::size_t ldb, float* c,
-               std::size_t ldc) noexcept;
 
 }  // namespace aic::tensor

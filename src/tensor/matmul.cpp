@@ -1,71 +1,15 @@
 #include "tensor/matmul.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <cstring>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "obs/trace.hpp"
-#include "runtime/aligned_buffer.hpp"
-#include "runtime/context.hpp"
 #include "runtime/parallel_for.hpp"
-#include "runtime/thread_pool.hpp"
 #include "tensor/gemm_kernels.hpp"
+#include "tensor/kernel_detail.hpp"
 
 namespace aic::tensor {
 namespace {
-
-// Work items per chunk when parallelizing over (plane × band); one band is
-// small (CF·n·8 + CF·8·n MACs), so batch a handful per pool task.
-constexpr std::size_t kBandGrain = 16;
-
-std::atomic<std::uint64_t> g_scratch_reallocs{0};
-
-// Sandwich mid-product scratch, owned by the call that fans out rather
-// than by whichever pool worker happens to run a chunk. Before any chunk
-// is submitted, the calling thread sizes one buffer of pool.size() + 1
-// slabs — one per worker, the last for the caller's own inline run — and
-// each chunk takes slab pool.worker_index(). The first call of a shape
-// therefore sizes every slab a later call can touch, however
-// parallel_for_chunks spreads the chunks over the workers.
-class MidScratch {
- public:
-  // Holding the pool pins the one parallel_for_chunks resolves on this
-  // thread (a process-pool swap is rejected while it is held), so the
-  // slab count and the workers that run the chunks are the same pool's.
-  explicit MidScratch(std::size_t count)
-      : pool_(runtime::current_pool()),
-        stride_((count + kLineFloats - 1) / kLineFloats * kLineFloats +
-                kGuardFloats) {
-    thread_local runtime::AlignedBuffer<float> buffer;
-    const std::size_t floats = (pool_->size() + 1) * stride_;
-    if (buffer.size() < floats) {
-      buffer = runtime::AlignedBuffer<float>(floats);
-      g_scratch_reallocs.fetch_add(1, std::memory_order_relaxed);
-    }
-    base_ = buffer.data();
-  }
-
-  // The slab of the thread running the current chunk.
-  float* slab() const noexcept {
-    return base_ + pool_->worker_index() * stride_;
-  }
-
- private:
-  // Slabs start on their own cache line and are a page apart. Without the
-  // gap the hardware prefetcher, which streams ahead within a page, pulls
-  // the next worker's lines while a worker sweeps its slab: the banded
-  // transform then ran ~10% slower than with one buffer per thread (6
-  // planes of 1024², 2 workers, 4-vCPU AMD EPYC).
-  static constexpr std::size_t kLineFloats = 64 / sizeof(float);
-  static constexpr std::size_t kGuardFloats = 4096 / sizeof(float);
-
-  const std::shared_ptr<runtime::ThreadPool> pool_;
-  const std::size_t stride_;
-  float* base_ = nullptr;
-};
 
 void require_float32(const Tensor& t, const char* kernel, const char* what) {
   if (t.dtype() != DType::kFloat32) {
@@ -100,7 +44,7 @@ struct SandwichDims {
 
 void sandwich_dense(const float* lhs, const float* in, const float* rhs,
                     float* out, const SandwichDims& d) {
-  const MidScratch scratch(d.h * d.out_w);
+  const detail::MidScratch scratch(d.h * d.out_w);
   runtime::parallel_for_chunks(
       0, d.planes,
       [&](std::size_t lo, std::size_t hi) {
@@ -113,73 +57,6 @@ void sandwich_dense(const float* lhs, const float* in, const float* rhs,
         }
       },
       {.grain = 1});
-}
-
-// Structurally-sparse fast path. Band i of LHS couples output rows
-// [i·lb_r, +lb_r) to input rows [i·lb_c, +lb_c) only, so each (plane,
-// band) item is independent: form the lb_c×out_w mid strip in scratch,
-// then the lb_r output rows, touching only live operator entries. The
-// per-element work goes through the dispatched kernel primitives
-// (block_mac for the narrow per-band RHS blocks, axpy_row for the wide
-// output rows), which accumulate in the exact same ascending-k order as
-// the dense gemm — banded and dense stay bit-identical per backend.
-void sandwich_banded(const float* lhs, const float* in, const float* rhs,
-                     float* out, const SandwichDims& d, std::size_t lb_r,
-                     std::size_t lb_c, std::size_t rb_r, std::size_t rb_c) {
-  const std::size_t bands = d.h / lb_c;
-  const std::size_t rhs_bands = d.w / rb_r;
-  const MidScratch scratch(lb_c * d.out_w);
-  runtime::parallel_for_chunks(
-      0, d.planes * bands,
-      [&](std::size_t lo, std::size_t hi) {
-        AIC_TRACE_SCOPE("sandwich.banded_chunk");
-        float* mid = scratch.slab();
-        std::uint64_t mac_local = 0, axpy_local = 0;
-        for (std::size_t item = lo; item < hi; ++item) {
-          const std::size_t plane = item / bands;
-          const std::size_t band = item % bands;
-          const float* in_rows =
-              in + plane * d.h * d.w + band * lb_c * d.w;
-          // mid = in_rows · rhs, visiting only each RHS row's live band:
-          // one lb_c×rb_c block MAC per RHS band.
-          std::fill_n(mid, lb_c * d.out_w, 0.0f);
-          for (std::size_t jb = 0; jb < rhs_bands; ++jb) {
-            block_mac(lb_c, rb_c, rb_r, in_rows + jb * rb_r, d.w,
-                      rhs + (jb * rb_r) * d.out_w + jb * rb_c, d.out_w,
-                      mid + jb * rb_c, d.out_w);
-          }
-          mac_local += rhs_bands;
-          // out band = (lb_r × lb_c) LHS block · mid, one wide fused
-          // row update per live LHS entry. The zero-skip stays here —
-          // zeros in chop operators are structural, not incidental.
-          const float* l_block = lhs + (band * lb_r) * d.h + band * lb_c;
-          float* out_rows = out + plane * d.out_h * d.out_w +
-                            band * lb_r * d.out_w;
-          for (std::size_t r = 0; r < lb_r; ++r) {
-            float* out_row = out_rows + r * d.out_w;
-            std::fill_n(out_row, d.out_w, 0.0f);
-            const float* l_row = l_block + r * d.h;
-            for (std::size_t q = 0; q < lb_c; ++q) {
-              const float l_val = l_row[q];
-              if (l_val == 0.0f) continue;
-              axpy_row(l_val, mid + q * d.out_w, out_row, d.out_w);
-              ++axpy_local;
-            }
-          }
-        }
-        GemmCounters delta;
-        delta.block_mac_calls = mac_local;
-        delta.axpy_calls = axpy_local;
-        add_gemm_counters(delta);
-      },
-      {.grain = kBandGrain});
-}
-
-// A banded spec fits a rows×cols operator when the band grid tiles it.
-bool spec_fits(const BandedSpec& spec, std::size_t rows, std::size_t cols) {
-  return spec.valid() && rows % spec.row_block == 0 &&
-         cols % spec.col_block == 0 &&
-         rows / spec.row_block == cols / spec.col_block;
 }
 
 }  // namespace
@@ -223,28 +100,8 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-bool is_block_banded(const Tensor& m, const BandedSpec& spec) {
-  if (m.shape().rank() != 2) return false;
-  const std::size_t rows = m.shape()[0];
-  const std::size_t cols = m.shape()[1];
-  if (!spec_fits(spec, rows, cols)) return false;
-  const float* p = m.raw();
-  for (std::size_t i = 0; i < rows; ++i) {
-    const std::size_t band = i / spec.row_block;
-    const std::size_t live_lo = band * spec.col_block;
-    const std::size_t live_hi = live_lo + spec.col_block;
-    for (std::size_t j = 0; j < cols; ++j) {
-      if ((j < live_lo || j >= live_hi) && p[i * cols + j] != 0.0f) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 void sandwich_planes_into(const Tensor& lhs, const Tensor& in,
-                          const Tensor& rhs, Tensor& out,
-                          const SandwichOptions& options) {
+                          const Tensor& rhs, Tensor& out) {
   if (in.shape().rank() != 4 || out.shape().rank() != 4) {
     throw std::invalid_argument("sandwich_planes: tensors must be rank 4");
   }
@@ -269,32 +126,11 @@ void sandwich_planes_into(const Tensor& lhs, const Tensor& in,
   }
   const SandwichDims dims{batch * channels, h, w, out_h, out_w};
   if (dims.planes == 0) return;
-
-  const bool want_banded =
-      options.lhs_bands.valid() || options.rhs_bands.valid();
-  if (want_banded) {
-    // Half-specified or ill-fitting hints are caller bugs, not a reason to
-    // silently fall back to the dense path.
-    if (!spec_fits(options.lhs_bands, out_h, h) ||
-        !spec_fits(options.rhs_bands, w, out_w)) {
-      throw std::invalid_argument(
-          "sandwich_planes: band structure does not tile the operators");
-    }
-    sandwich_banded(lhs.raw(), in.raw(), rhs.raw(), out.raw(), dims,
-                    options.lhs_bands.row_block, options.lhs_bands.col_block,
-                    options.rhs_bands.row_block, options.rhs_bands.col_block);
-    return;
-  }
   sandwich_dense(lhs.raw(), in.raw(), rhs.raw(), out.raw(), dims);
 }
 
-void sandwich_planes(const Tensor& lhs, const Tensor& in, const Tensor& rhs,
-                     Tensor& out) {
-  sandwich_planes_into(lhs, in, rhs, out, {});
-}
-
 std::uint64_t sandwich_scratch_reallocs() noexcept {
-  return g_scratch_reallocs.load(std::memory_order_relaxed);
+  return detail::g_scratch_reallocs.load(std::memory_order_relaxed);
 }
 
 std::size_t matmul_flops(const Tensor& a, const Tensor& b) {

@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "core/dct.hpp"
 #include "io/error.hpp"
+#include "runtime/cpu_features.hpp"
 #include "runtime/rng.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
@@ -157,8 +159,8 @@ TEST(DctChop, ChannelsAreIndependent) {
 }
 
 TEST(DctChop, FastPathMatchesReferenceMatmulSandwichExactly) {
-  // The codec's structurally-sparse kernel must reproduce the plain
-  // two-matmul sandwich of Eq. 4/6 element-for-element (identical
+  // The codec's block chop kernel must reproduce the plain two-matmul
+  // sandwich of Eq. 4/6 element-for-element on finite input (identical
   // contributions in identical order — no new rounding).
   runtime::Rng rng(20);
   for (std::size_t cf : {1u, 3u, 4u, 8u}) {
@@ -178,6 +180,42 @@ TEST(DctChop, FastPathMatchesReferenceMatmulSandwichExactly) {
       }
     }
   }
+}
+
+// One non-finite pixel poisons exactly the CF×CF coefficients of its own
+// block, on every backend: the kernel never multiplies a value by the
+// structural zeros of the full operators. (The dense two-matmul sandwich
+// does, and spreads the value along the block row and column it touches,
+// so "kernel == dense" holds for finite input only.)
+TEST(DctChop, NonFiniteInputStaysInItsBlock) {
+  const std::size_t n = 32, cf = 4, block = 8;
+  const std::size_t row = 13, col = 22;  // block (1, 2)
+  const DctChopCodec codec(
+      {.height = n, .width = n, .cf = cf, .block = block});
+  std::vector<runtime::KernelBackend> backends{runtime::KernelBackend::kScalar};
+  if (runtime::cpu_features().avx2 && runtime::cpu_features().fma) {
+    backends.push_back(runtime::KernelBackend::kAvx2);
+  }
+  const runtime::KernelBackend saved = runtime::kernel_backend();
+  runtime::Rng rng(23);
+  for (const runtime::KernelBackend backend : backends) {
+    runtime::set_kernel_backend(backend);
+    for (const float bad : {std::nanf(""), INFINITY, -INFINITY}) {
+      Tensor in = Tensor::uniform(Shape::bchw(1, 1, n, n), rng, -1.0f, 1.0f);
+      in.at(row * n + col) = bad;
+      const Tensor packed = codec.compress(in);
+      const std::size_t cw = cf * n / block;
+      for (std::size_t r = 0; r < cf * n / block; ++r) {
+        for (std::size_t c = 0; c < cw; ++c) {
+          const bool own = r / cf == row / block && c / cf == col / block;
+          EXPECT_EQ(!std::isfinite(packed.at(r * cw + c)), own)
+              << runtime::kernel_backend_name(backend) << " value " << bad
+              << " coefficient (" << r << ", " << c << ")";
+        }
+      }
+    }
+  }
+  runtime::set_kernel_backend(saved);
 }
 
 TEST(DctChop, NonSquareRoundTripThroughCodec) {

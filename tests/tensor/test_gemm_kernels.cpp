@@ -9,6 +9,7 @@
 
 #include "runtime/cpu_features.hpp"
 #include "runtime/rng.hpp"
+#include "tensor/chop_kernel.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
 
@@ -205,34 +206,6 @@ Tensor make_banded(std::size_t bands, std::size_t row_block,
   return m;
 }
 
-// The structural sandwich fast path must agree with the dense path
-// bit-for-bit under every backend: block_mac / axpy_row issue the same
-// ascending-k fused chains as the packed microkernel.
-TEST(GemmSandwich, BandedMatchesDenseOnEveryBackend) {
-  runtime::Rng rng(25);
-  const std::size_t bands = 4, cf = 4, block = 8;
-  const Tensor lhs = make_banded(bands, cf, block, rng);
-  const Tensor rhs = make_banded(bands, block, cf, rng);
-  const std::size_t edge = bands * block;
-  const Tensor in =
-      Tensor::uniform(Shape::bchw(2, 3, edge, edge), rng, -1.0f, 1.0f);
-  for (const KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
-    if (backend == KernelBackend::kAvx2 && !simd_supported()) continue;
-    BackendGuard guard;
-    runtime::set_kernel_backend(backend);
-    Tensor dense_out(Shape::bchw(2, 3, bands * cf, bands * cf));
-    Tensor banded_out(Shape::bchw(2, 3, bands * cf, bands * cf));
-    sandwich_planes_into(lhs, in, rhs, dense_out, {});
-    sandwich_planes_into(lhs, in, rhs, banded_out,
-                         {.lhs_bands = {cf, block}, .rhs_bands = {block, cf}});
-    for (std::size_t i = 0; i < dense_out.numel(); ++i) {
-      ASSERT_EQ(dense_out.at(i), banded_out.at(i))
-          << runtime::kernel_backend_name() << " flat " << i;
-    }
-  }
-}
-
 TEST(GemmSandwich, SimdAndScalarSandwichAgreeWithinTolerance) {
   if (!simd_supported()) GTEST_SKIP() << "host lacks AVX2+FMA";
   BackendGuard guard;
@@ -243,46 +216,13 @@ TEST(GemmSandwich, SimdAndScalarSandwichAgreeWithinTolerance) {
   const std::size_t edge = bands * block;
   const Tensor in =
       Tensor::uniform(Shape::bchw(2, 2, edge, edge), rng, -1.0f, 1.0f);
-  const SandwichOptions opts{.lhs_bands = {cf, block},
-                             .rhs_bands = {block, cf}};
   Tensor scalar_out(Shape::bchw(2, 2, bands * cf, bands * cf));
   Tensor simd_out(Shape::bchw(2, 2, bands * cf, bands * cf));
   runtime::set_kernel_backend(KernelBackend::kScalar);
-  sandwich_planes_into(lhs, in, rhs, scalar_out, opts);
+  sandwich_planes_into(lhs, in, rhs, scalar_out);
   runtime::set_kernel_backend(KernelBackend::kAvx2);
-  sandwich_planes_into(lhs, in, rhs, simd_out, opts);
+  sandwich_planes_into(lhs, in, rhs, simd_out);
   expect_rel_close(scalar_out, simd_out, 1e-5, "sandwich parity");
-}
-
-TEST(GemmPrimitives, AxpyAndBlockMacMatchNaive) {
-  runtime::Rng rng(27);
-  for (const KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
-    if (backend == KernelBackend::kAvx2 && !simd_supported()) continue;
-    BackendGuard guard;
-    runtime::set_kernel_backend(backend);
-    for (const std::size_t n : {1u, 4u, 7u, 8u, 9u, 16u, 23u, 64u}) {
-      std::vector<float> src(n), dst(n), expect(n);
-      for (std::size_t j = 0; j < n; ++j) {
-        src[j] = static_cast<float>(rng.uniform(-1.0, 1.0));
-        dst[j] = static_cast<float>(rng.uniform(-1.0, 1.0));
-        expect[j] = dst[j];
-      }
-      const float alpha = 0.75f;
-      axpy_row(alpha, src.data(), dst.data(), n);
-      for (std::size_t j = 0; j < n; ++j) {
-        EXPECT_NEAR(dst[j], expect[j] + alpha * src[j], 1e-6) << n;
-      }
-    }
-    // block_mac vs naive on an odd-shaped block (n spans both tile halves).
-    const std::size_t m = 5, n = 11, k = 9;
-    const Tensor a = Tensor::uniform(Shape::matrix(m, k), rng, -1.0f, 1.0f);
-    const Tensor b = Tensor::uniform(Shape::matrix(k, n), rng, -1.0f, 1.0f);
-    Tensor c(Shape::matrix(m, n));
-    block_mac(m, n, k, a.raw(), k, b.raw(), n, c.raw(), n);
-    expect_rel_close(c, matmul_naive(a, b, Trans::kNo, Trans::kNo), 1e-5,
-                     "block_mac");
-  }
 }
 
 TEST(GemmCounters, AdvanceAcrossCallsAndCountTails) {
@@ -304,24 +244,29 @@ TEST(GemmCounters, AdvanceAcrossCallsAndCountTails) {
   EXPECT_EQ(after.tail_tiles, before.tail_tiles + 4);
 }
 
-TEST(GemmCounters, SandwichBandedRecordsPrimitiveCalls) {
+// The counters describe the gemm layer only: the dense sandwich is two
+// gemm calls per plane, and the block chop kernel issues none.
+TEST(GemmCounters, SandwichRecordsOnlyGemmCalls) {
   runtime::Rng rng(29);
   const std::size_t bands = 4, cf = 4, block = 8;
   const Tensor lhs = make_banded(bands, cf, block, rng);
   const Tensor rhs = make_banded(bands, block, cf, rng);
-  const std::size_t edge = bands * block;
+  const std::size_t edge = bands * block, packed = bands * cf;
   const Tensor in = Tensor::uniform(Shape::bchw(1, 2, edge, edge), rng);
-  Tensor out(Shape::bchw(1, 2, bands * cf, bands * cf));
+  Tensor out(Shape::bchw(1, 2, packed, packed));
   const GemmCounters before = gemm_counters();
-  sandwich_planes_into(lhs, in, rhs, out,
-                       {.lhs_bands = {cf, block}, .rhs_bands = {block, cf}});
+  sandwich_planes_into(lhs, in, rhs, out);
   const GemmCounters after = gemm_counters();
-  // 2 planes × 4 LHS bands × 4 RHS bands block MACs.
-  EXPECT_EQ(after.block_mac_calls, before.block_mac_calls + 2 * 4 * 4);
-  // ≤ planes × bands × (cf × block) axpy rows; zero entries are skipped
-  // so only a lower bound is structural.
-  EXPECT_GT(after.axpy_calls, before.axpy_calls);
-  EXPECT_LE(after.axpy_calls, before.axpy_calls + 2 * 4 * cf * block);
+  EXPECT_EQ(after.gemm_calls, before.gemm_calls + 2 * 2);
+  EXPECT_EQ(after.flops, before.flops + 2 * (2ull * edge * packed * edge +
+                                             2ull * packed * packed * edge));
+
+  const Tensor d = Tensor::uniform(Shape::matrix(cf, block), rng);
+  chop_forward_into(d, in, out);
+  const GemmCounters untouched = gemm_counters();
+  EXPECT_EQ(untouched.gemm_calls, after.gemm_calls);
+  EXPECT_EQ(untouched.flops, after.flops);
+  EXPECT_EQ(untouched.microkernel_calls, after.microkernel_calls);
 }
 
 }  // namespace
